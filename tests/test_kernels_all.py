@@ -2,7 +2,9 @@
 
 Each test simulates one (benchmark, config) pair on a small 4x4 fabric with
 scaled-down inputs and verifies the final memory against the numpy
-reference — the paper's serial-version check (Section 6.1).
+reference — the paper's serial-version check (Section 6.1).  The same run's
+cycles, stall breakdown, opcode mix and LLC/DRAM counts must match the golden
+cycle corpus exactly (see ``cycle_corpus.py``).
 """
 
 import pytest
@@ -10,8 +12,10 @@ import pytest
 from repro.harness import run_benchmark
 from repro.kernels import registry
 from repro.manycore import small_config
+from tests import cycle_corpus
 
 SMALL = small_config()
+GOLDEN = cycle_corpus.load()
 
 #: gramschm is the paper's no-SIMD outlier; PCV configs fall back to its
 #: scalar path, so exercising NV/NV_PF/V4 is the meaningful set.
@@ -37,6 +41,11 @@ def test_kernel_matches_reference(bench_cls, config):
                       max_cycles=5_000_000)
     assert r.cycles > 0
     assert r.stats.total_instrs > 0
+    key = f'{bench_cls.name}-{config}'
+    assert key in GOLDEN, f'{key} missing from the cycle corpus'
+    got = cycle_corpus.record(r.stats)
+    assert got == GOLDEN[key], '\n'.join(
+        cycle_corpus.describe(key, GOLDEN[key], got))
 
 
 class TestSuiteShape:
