@@ -94,9 +94,6 @@ class Instr:
     def __repr__(self):
         return f'<{disasm(self)}>'
 
-    def is_control(self) -> bool:
-        return op.is_control(self.op)
-
 
 def disasm(inst: Instr) -> str:
     """Render one instruction as assembly-ish text (for debugging/tests)."""

@@ -6,7 +6,7 @@ extension from the paper (Section 2) and a small fixed-width per-core SIMD
 paper's PCV configurations.
 
 Opcodes are plain integers (not Enum members) because the simulator
-dispatches on them in its hottest loop.
+indexes its per-opcode dispatch tables with them in its hottest loop.
 """
 
 from __future__ import annotations
@@ -108,15 +108,8 @@ CSR_NCORES = 5  # number of active cores in this run
 CSR_GROUP_ID = 6  # id of the vector group this core belongs to
 CSR_NGROUPS = 7  # number of vector groups configured in the fabric
 
-_INT_ALU = frozenset([ADD, SUB, AND, OR, XOR, SLL, SRL, SLT, ADDI, ANDI, ORI,
-                      XORI, SLLI, SRLI, SLTI, LI, MV])
-_FP_ALU = frozenset([FADD, FSUB, FMIN, FMAX, FABS, FNEG, FLT, FLE, FEQ,
-                     FCVT_WS, FCVT_SW])
-_FP_MUL = frozenset([FMUL, FMA])
 _BRANCHES = frozenset([BEQ, BNE, BLT, BGE])
 _JUMPS = frozenset([J, JAL, JR])
-_SIMD = frozenset([VL4, VS4, VADD4, VSUB4, VMUL4, VFMA4, VBCAST, VREDSUM4])
-_STORES = frozenset([SW, SWSP, SWREM, VS4])
 _CONTROL = _BRANCHES | _JUMPS
 
 #: Execution latency (cycles from issue to writeback) per opcode, mirroring
@@ -158,20 +151,8 @@ def is_branch(op: int) -> bool:
     return op in _BRANCHES
 
 
-def is_jump(op: int) -> bool:
-    return op in _JUMPS
-
-
 def is_control(op: int) -> bool:
     return op in _CONTROL
-
-
-def is_store(op: int) -> bool:
-    return op in _STORES
-
-
-def is_simd(op: int) -> bool:
-    return op in _SIMD
 
 
 def name(op: int) -> str:

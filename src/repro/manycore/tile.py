@@ -24,6 +24,9 @@ blocking cause, producing the CPI stacks of Figures 12/13/15.
 
 from __future__ import annotations
 
+import math
+import operator
+
 from ..core.vgroup import (ROLE_EXPANDER, ROLE_INDEPENDENT, ROLE_SCALAR,
                            ROLE_VECTOR)
 from ..core.inet import InetQueue, MSG_DEVEC, MSG_INST, MSG_LAUNCH
@@ -57,6 +60,8 @@ _CAUSE_FIELD = {
 #: Instructions that execute even when the predication flag is clear.
 _PRED_EXEMPT = frozenset([op.PRED_EQ, op.PRED_NEQ, op.FRAME_START, op.REMEM,
                           op.VEND, op.NOP])
+_CONTROL = frozenset(o for o in op.NAMES if op.is_control(o))
+_STRUCTURAL = frozenset([op.LW, op.FRAME_START, op.VISSUE, op.DEVEC])
 
 
 class SimError(Exception):
@@ -189,14 +194,15 @@ class Tile:
         return wake
 
     def _commit_issue(self, inst: Instr, now: int) -> None:
+        st = self.stats
         gap = now - self._ready_at
         if gap > 0:
-            st = self.stats
             field = _CAUSE_FIELD[self._stall_cause]
             setattr(st, field, getattr(st, field) + gap)
         self._ready_at = now + 1
-        self.stats.instrs += 1
-        self._classify(inst.op)
+        st.instrs += 1
+        field = MIX_CLASS[inst.op]
+        setattr(st, field, getattr(st, field) + 1)
         if self.fabric.trace is not None:
             self.fabric.trace.record(self.core_id, now, inst, self.mode)
 
@@ -208,25 +214,6 @@ class Tile:
             field = _CAUSE_FIELD[cause]
             setattr(st, field, getattr(st, field) + gap)
         self._ready_at = now + 1
-
-    def _classify(self, o: int) -> None:
-        st = self.stats
-        if o in (op.LW, op.SW, op.LWSP, op.SWSP, op.SWREM, op.VLOAD):
-            st.n_mem += 1
-        elif o == op.MUL:
-            st.n_mul += 1
-        elif o in (op.DIV, op.REM, op.FDIV, op.FSQRT):
-            st.n_div += 1
-        elif o in (op.FADD, op.FSUB, op.FMUL, op.FMA, op.FMIN, op.FMAX,
-                   op.FABS, op.FNEG, op.FLT, op.FLE, op.FEQ, op.FCVT_WS,
-                   op.FCVT_SW):
-            st.n_fp += 1
-        elif op.is_simd(o):
-            st.n_simd += 1
-        elif op.is_control(o):
-            st.n_control += 1
-        else:
-            st.n_int_alu += 1
 
     # ------------------------------------------------------------------ stepping
     def step(self, now: int) -> int:
@@ -258,20 +245,20 @@ class Tile:
         if wake is not None:
             return wake
         o = inst.op
-        # structural checks that must precede issue
-        if o == op.LW:
-            if self.lq_count >= self.cfg.load_queue_entries:
-                return self._stall('loadq', INF)
-        elif o == op.FRAME_START:
-            if not self._frame_ready():
-                return self._stall('frame', INF)
-        elif o in (op.VISSUE, op.DEVEC):
-            succ = self.successor
-            if succ is None:
-                raise SimError(f'{op.name(o)} outside a vector group '
-                               f'(core {self.core_id})')
-            if not succ.inet_in.can_accept():
-                return self._stall('backpressure', now + 1)
+        if o in _STRUCTURAL:  # structural checks that must precede issue
+            if o == op.LW:
+                if self.lq_count >= self.cfg.load_queue_entries:
+                    return self._stall('loadq', INF)
+            elif o == op.FRAME_START:
+                if not self._frame_ready():
+                    return self._stall('frame', INF)
+            else:  # VISSUE, DEVEC
+                succ = self.successor
+                if succ is None:
+                    raise SimError(f'{op.name(o)} outside a vector group '
+                                   f'(core {self.core_id})')
+                if not succ.inet_in.can_accept():
+                    return self._stall('backpressure', now + 1)
         self._commit_issue(inst, now)
         self._execute_front(inst, now)
         return max(now + 1, self.fetch_stall_until)
@@ -311,11 +298,11 @@ class Tile:
                 self.fetch_stall_until = now + pen
                 return self._stall('other', self.fetch_stall_until)
         o = inst.op
-        forward = (self.successor is not None and not op.is_control(o)
-                   and o != op.VEND)
+        control = o in _CONTROL
+        forward = self.successor is not None and not control and o != op.VEND
         if forward and not self.successor.inet_in.can_accept():
             return self._stall('backpressure', now + 1)
-        skip = not self.pred and o not in _PRED_EXEMPT and not op.is_control(o)
+        skip = not self.pred and not control and o not in _PRED_EXEMPT
         if not skip:
             if o == op.FRAME_START and not self._frame_ready():
                 return self._stall('frame', INF)
@@ -332,11 +319,11 @@ class Tile:
             if tel is not None:
                 tel.on_mt_end((self.core_id, now))
             return now + 1
-        if op.is_control(o):
+        if control:
             self._execute_control_mt(inst, now)
         else:
             if not skip:
-                self._execute_common(inst, now)
+                HANDLERS[o](self, inst, now)
             self.mt_pc += 1
         return max(now + 1, self.fetch_stall_until)
 
@@ -352,8 +339,9 @@ class Tile:
             self.mt_pc = int(self.regs[inst.rs1])
             bubble = True
         else:
-            taken, target = self._branch_outcome(inst)
-            self.mt_pc = target if taken else self.mt_pc + 1
+            regs = self.regs
+            taken = BRANCH_TEST[o](regs[inst.rs1], regs[inst.rs2])
+            self.mt_pc = inst.imm if taken else self.mt_pc + 1
             # the expander pauses fetch on *every* branch until it resolves,
             # to avoid forwarding wrong-path instructions (paper Section 3.2)
             bubble = taken or self.cfg.expander_pause_on_branch
@@ -374,11 +362,12 @@ class Tile:
         if kind != MSG_INST:
             raise SimError(f'vector core {self.core_id} received {kind!r}')
         inst: Instr = payload
+        o = inst.op
         succ = self.successor
         if succ is not None and not succ.inet_in.can_accept():
             return self._stall('backpressure', now + 1)
-        skip = not self.pred and inst.op not in _PRED_EXEMPT
-        if inst.op == op.FRAME_START and not self._frame_ready():
+        skip = not self.pred and o not in _PRED_EXEMPT
+        if o == op.FRAME_START and not self._frame_ready():
             return self._stall('frame', INF)
         if not skip:
             wake = self._check_operands(inst, now)
@@ -390,7 +379,7 @@ class Tile:
             self.stats.inet_forwards += 1
         self._commit_issue(inst, now)
         if not skip:
-            self._execute_common(inst, now)
+            HANDLERS[o](self, inst, now)
         return now + 1
 
     def _handle_devec(self, resume_pc: int, now: int) -> int:
@@ -460,243 +449,52 @@ class Tile:
     def _execute_front(self, inst: Instr, now: int) -> None:
         """Execute in a frontend mode (independent/scalar); advances self.pc."""
         o = inst.op
-        if op.is_control(o):
-            taken, target = self._branch_outcome(inst)
-            if o == op.J:
-                self.pc = inst.imm
-            elif o == op.JAL:
-                self._writeback(inst.rd, self.pc + 1, now + 1)
-                self.pc = inst.imm
-            elif o == op.JR:
-                self.pc = int(self.regs[inst.rs1])
-            elif taken:
-                self.pc = target
-                self.fetch_stall_until = now + self.cfg.branch_bubble
-                self._stall_cause = 'branch'
-            else:
-                self.pc += 1
-                return
+        front = _FRONT_HANDLERS[o]
+        if front is not None:
+            front(self, inst, now)  # control and system ops move pc
+            return
+        HANDLERS[o](self, inst, now)
+        self.pc += 1
+
+    def _front_jump(self, inst: Instr, now: int) -> None:
+        o = inst.op
+        if o == op.JAL:
+            self._writeback(inst.rd, self.pc + 1, now + 1)
+        self.pc = int(self.regs[inst.rs1]) if o == op.JR else inst.imm
+        self.fetch_stall_until = now + self.cfg.branch_bubble
+        self._stall_cause = 'branch'
+
+    def _front_branch(self, inst: Instr, now: int) -> None:
+        regs = self.regs
+        if BRANCH_TEST[inst.op](regs[inst.rs1], regs[inst.rs2]):
+            self.pc = inst.imm
             self.fetch_stall_until = now + self.cfg.branch_bubble
             self._stall_cause = 'branch'
-            return
-        if o == op.HALT:
+        else:
             self.pc += 1
+
+    def _front_system(self, inst: Instr, now: int) -> None:
+        """Role-specific ops only a frontend core executes."""
+        o = inst.op
+        self.pc += 1
+        if o == op.HALT:
             self.halted = True
             self.state = HALTED
             self.fabric.on_halt(self, now)
-            return
-        if o == op.BARRIER:
-            self.pc += 1
+        elif o == op.BARRIER:
             self.fabric.barrier_arrive(self, now)
-            return
-        if o == op.VCONFIG:
-            self.pc += 1
+        elif o == op.VCONFIG:
             handle = int(self.regs[inst.rs1])
             self.fabric.vconfig_arrive(self, handle, now)
-            return
-        if o == op.VISSUE:
+        elif o == op.VISSUE:
             self.successor.push_inet(MSG_LAUNCH, inst.imm, now)
             self.stats.inet_forwards += 1
-            self.pc += 1
-            return
-        if o == op.DEVEC:
+        else:  # DEVEC
             self.successor.push_inet(MSG_DEVEC, inst.imm, now)
             self.stats.inet_forwards += 1
             self.mode = ROLE_INDEPENDENT
             self.group = None
             self.successor = None
-            self.pc += 1
-            return
-        self._execute_common(inst, now)
-        self.pc += 1
-
-    def _branch_outcome(self, inst: Instr):
-        o = inst.op
-        if o == op.BEQ:
-            return self.regs[inst.rs1] == self.regs[inst.rs2], inst.imm
-        if o == op.BNE:
-            return self.regs[inst.rs1] != self.regs[inst.rs2], inst.imm
-        if o == op.BLT:
-            return self.regs[inst.rs1] < self.regs[inst.rs2], inst.imm
-        if o == op.BGE:
-            return self.regs[inst.rs1] >= self.regs[inst.rs2], inst.imm
-        return False, inst.imm
-
-    def _execute_common(self, inst: Instr, now: int) -> None:
-        """Non-control instructions, shared by every mode."""
-        o = inst.op
-        regs = self.regs
-        lat = op.LATENCY.get(o, 1)
-        wb = now + lat
-
-        # -- integer --
-        if o == op.ADD:
-            self._writeback(inst.rd, regs[inst.rs1] + regs[inst.rs2], wb)
-        elif o == op.SUB:
-            self._writeback(inst.rd, regs[inst.rs1] - regs[inst.rs2], wb)
-        elif o == op.MUL:
-            self._writeback(inst.rd, regs[inst.rs1] * regs[inst.rs2], wb)
-        elif o == op.DIV:
-            a, b = regs[inst.rs1], regs[inst.rs2]
-            self._writeback(inst.rd, int(a / b) if b else -1, wb)
-        elif o == op.REM:
-            a, b = int(regs[inst.rs1]), int(regs[inst.rs2])
-            self._writeback(inst.rd, a - int(a / b) * b if b else a, wb)
-        elif o == op.AND:
-            self._writeback(inst.rd, int(regs[inst.rs1]) & int(regs[inst.rs2]), wb)
-        elif o == op.OR:
-            self._writeback(inst.rd, int(regs[inst.rs1]) | int(regs[inst.rs2]), wb)
-        elif o == op.XOR:
-            self._writeback(inst.rd, int(regs[inst.rs1]) ^ int(regs[inst.rs2]), wb)
-        elif o == op.SLL:
-            self._writeback(inst.rd, int(regs[inst.rs1]) << int(regs[inst.rs2]), wb)
-        elif o == op.SRL:
-            self._writeback(inst.rd, int(regs[inst.rs1]) >> int(regs[inst.rs2]), wb)
-        elif o == op.SLT:
-            self._writeback(inst.rd, int(regs[inst.rs1] < regs[inst.rs2]), wb)
-        elif o == op.ADDI:
-            self._writeback(inst.rd, regs[inst.rs1] + inst.imm, wb)
-        elif o == op.ANDI:
-            self._writeback(inst.rd, int(regs[inst.rs1]) & inst.imm, wb)
-        elif o == op.ORI:
-            self._writeback(inst.rd, int(regs[inst.rs1]) | inst.imm, wb)
-        elif o == op.XORI:
-            self._writeback(inst.rd, int(regs[inst.rs1]) ^ inst.imm, wb)
-        elif o == op.SLLI:
-            self._writeback(inst.rd, int(regs[inst.rs1]) << inst.imm, wb)
-        elif o == op.SRLI:
-            self._writeback(inst.rd, int(regs[inst.rs1]) >> inst.imm, wb)
-        elif o == op.SLTI:
-            self._writeback(inst.rd, int(regs[inst.rs1] < inst.imm), wb)
-        elif o == op.LI:
-            self._writeback(inst.rd, inst.imm, wb)
-        elif o == op.MV:
-            self._writeback(inst.rd, regs[inst.rs1], wb)
-
-        # -- floating point --
-        elif o == op.FADD:
-            self._writeback(inst.rd, regs[inst.rs1] + regs[inst.rs2], wb)
-        elif o == op.FSUB:
-            self._writeback(inst.rd, regs[inst.rs1] - regs[inst.rs2], wb)
-        elif o == op.FMUL:
-            self._writeback(inst.rd, regs[inst.rs1] * regs[inst.rs2], wb)
-        elif o == op.FDIV:
-            self._writeback(inst.rd, regs[inst.rs1] / regs[inst.rs2], wb)
-        elif o == op.FSQRT:
-            self._writeback(inst.rd, regs[inst.rs1] ** 0.5, wb)
-        elif o == op.FMIN:
-            self._writeback(inst.rd, min(regs[inst.rs1], regs[inst.rs2]), wb)
-        elif o == op.FMAX:
-            self._writeback(inst.rd, max(regs[inst.rs1], regs[inst.rs2]), wb)
-        elif o == op.FMA:
-            self._writeback(
-                inst.rd, regs[inst.rd] + regs[inst.rs1] * regs[inst.rs2], wb)
-        elif o == op.FABS:
-            self._writeback(inst.rd, abs(regs[inst.rs1]), wb)
-        elif o == op.FNEG:
-            self._writeback(inst.rd, -regs[inst.rs1], wb)
-        elif o == op.FLT:
-            self._writeback(inst.rd, int(regs[inst.rs1] < regs[inst.rs2]), wb)
-        elif o == op.FLE:
-            self._writeback(inst.rd, int(regs[inst.rs1] <= regs[inst.rs2]), wb)
-        elif o == op.FEQ:
-            self._writeback(inst.rd, int(regs[inst.rs1] == regs[inst.rs2]), wb)
-        elif o == op.FCVT_WS:
-            self._writeback(inst.rd, int(regs[inst.rs1]), wb)
-        elif o == op.FCVT_SW:
-            self._writeback(inst.rd, float(regs[inst.rs1]), wb)
-
-        # -- memory --
-        elif o == op.LW:
-            self._issue_load(inst, now)
-        elif o == op.SW:
-            addr = int(regs[inst.rs1]) + inst.imm
-            self.fabric.send_store(self.core_id, addr, regs[inst.rs2], now)
-        elif o == op.LWSP:
-            off = int(regs[inst.rs1]) + inst.imm
-            value = self.spad.read(off)
-            self._writeback(inst.rd, value, now + self.cfg.spad_hit_latency)
-        elif o == op.SWSP:
-            off = int(regs[inst.rs1]) + inst.imm
-            self.spad.write(off, regs[inst.rs2])
-        elif o == op.SWREM:
-            dest = int(regs[inst.rs2])
-            off = int(regs[inst.rd]) + inst.imm
-            self.fabric.send_remote_store(self.core_id, dest, off,
-                                          regs[inst.rs1], now)
-
-        # -- SDV --
-        elif o == op.VLOAD:
-            self._issue_vload(inst, now)
-        elif o == op.FRAME_START:
-            fq = self.spad.frames
-            if fq is None:
-                raise SimError(f'frame_start with no frame config '
-                               f'(core {self.core_id})')
-            tel = self.fabric.telemetry
-            if tel is not None:
-                tel.on_frame_start((self.core_id, fq.head, now))
-            self._writeback(inst.rd, fq.head_offset(), wb)
-        elif o == op.REMEM:
-            fq = self.spad.frames
-            tel = self.fabric.telemetry
-            if tel is not None:
-                tel.on_frame_free((self.core_id, fq.head, 0, now))
-            fq.free_head()
-            self.stats.frames_consumed += 1
-        elif o == op.PRED_EQ:
-            self.pred = regs[inst.rs1] == regs[inst.rs2]
-        elif o == op.PRED_NEQ:
-            self.pred = regs[inst.rs1] != regs[inst.rs2]
-        elif o == op.VEND:
-            pass  # meaningful only on the expander (handled there)
-
-        # -- system --
-        elif o == op.CSRW:
-            self._csr_write(inst.imm, regs[inst.rs1])
-        elif o == op.CSRR:
-            self._writeback(inst.rd, self._csr_read(inst.imm), wb)
-        elif o == op.NOP:
-            pass
-        elif o == op.PRINT:
-            print(f'[core {self.core_id} @ {now}] '
-                  f'r{inst.rs1} = {regs[inst.rs1]}')
-
-        # -- per-core SIMD --
-        elif o == op.VL4:
-            base = int(regs[inst.rs1]) + inst.imm
-            w = self.cfg.simd_width
-            self.vregs[inst.rd] = [self.spad.read(base + i) for i in range(w)]
-            self._vbusy[inst.rd] = now + self.cfg.spad_hit_latency
-        elif o == op.VS4:
-            base = int(regs[inst.rs1]) + inst.imm
-            for i, v in enumerate(self.vregs[inst.rd]):
-                self.spad.write(base + i, v)
-        elif o == op.VADD4:
-            a, b = self.vregs[inst.rs1], self.vregs[inst.rs2]
-            self.vregs[inst.rd] = [x + y for x, y in zip(a, b)]
-            self._vbusy[inst.rd] = wb
-        elif o == op.VSUB4:
-            a, b = self.vregs[inst.rs1], self.vregs[inst.rs2]
-            self.vregs[inst.rd] = [x - y for x, y in zip(a, b)]
-            self._vbusy[inst.rd] = wb
-        elif o == op.VMUL4:
-            a, b = self.vregs[inst.rs1], self.vregs[inst.rs2]
-            self.vregs[inst.rd] = [x * y for x, y in zip(a, b)]
-            self._vbusy[inst.rd] = wb
-        elif o == op.VFMA4:
-            a, b = self.vregs[inst.rs1], self.vregs[inst.rs2]
-            d = self.vregs[inst.rd]
-            self.vregs[inst.rd] = [acc + x * y for acc, x, y in zip(d, a, b)]
-            self._vbusy[inst.rd] = wb
-        elif o == op.VBCAST:
-            self.vregs[inst.rd] = [regs[inst.rs1]] * self.cfg.simd_width
-            self._vbusy[inst.rd] = wb
-        elif o == op.VREDSUM4:
-            self._writeback(inst.rd, sum(self.vregs[inst.rs1]), wb)
-        else:
-            raise SimError(f'cannot execute {op.name(o)} here '
-                           f'(core {self.core_id}, mode {self.mode})')
 
     # ------------------------------------------------------------------ memory
     def _issue_load(self, inst: Instr, now: int) -> None:
@@ -814,3 +612,249 @@ class Tile:
         if self.job is not None:
             parts.append(f'job={self.job.job_id}')
         return '  '.join(parts)
+
+
+# ------------------------------------------------------------ dispatch tables
+# Every per-issue decision that depends only on the opcode is a list
+# indexed by the opcode integer, built once at import:
+#   HANDLERS[o]    executes a non-control op in any role: fn(tile, inst, now)
+#   LATENCY[o]     issue-to-writeback cycles (Table 1a; default 1)
+#   MIX_CLASS[o]   the CoreStats opcode-mix counter (energy model input)
+#   BRANCH_TEST[o] decides a conditional branch; None for every other op
+
+def _illegal(t, inst, now):
+    raise SimError(f'cannot execute {op.name(inst.op)} here '
+                   f'(core {t.core_id}, mode {t.mode})')
+
+
+def _rr(fn):
+    """Handler for ``rd <- fn(rs1, rs2)``."""
+    def handler(t, inst, now):
+        regs = t.regs
+        t._writeback(inst.rd, fn(regs[inst.rs1], regs[inst.rs2]),
+                     now + LATENCY[inst.op])
+    return handler
+
+
+def _ri(fn):
+    """Handler for ``rd <- fn(rs1, imm)``."""
+    def handler(t, inst, now):
+        t._writeback(inst.rd, fn(t.regs[inst.rs1], inst.imm),
+                     now + LATENCY[inst.op])
+    return handler
+
+
+def _r(fn):
+    """Handler for ``rd <- fn(rs1)``."""
+    def handler(t, inst, now):
+        t._writeback(inst.rd, fn(t.regs[inst.rs1]), now + LATENCY[inst.op])
+    return handler
+
+
+def _vv(fn):
+    """Handler for the lane-wise SIMD ``vrd <- fn(vrs1, vrs2)``."""
+    def handler(t, inst, now):
+        vregs = t.vregs
+        vregs[inst.rd] = list(map(fn, vregs[inst.rs1], vregs[inst.rs2]))
+        t._vbusy[inst.rd] = now + LATENCY[inst.op]
+    return handler
+
+
+def _pred(test):
+    def handler(t, inst, now):
+        t.pred = test(t.regs[inst.rs1], t.regs[inst.rs2])
+    return handler
+
+
+def _rem(a, b):
+    a, b = int(a), int(b)
+    return a - int(a / b) * b if b else a
+
+
+def _fma(t, inst, now):
+    regs = t.regs
+    t._writeback(inst.rd, regs[inst.rd] + regs[inst.rs1] * regs[inst.rs2],
+                 now + LATENCY[inst.op])
+
+
+def _sw(t, inst, now):
+    regs = t.regs
+    addr = int(regs[inst.rs1]) + inst.imm
+    t.fabric.send_store(t.core_id, addr, regs[inst.rs2], now)
+
+
+def _lwsp(t, inst, now):
+    value = t.spad.read(int(t.regs[inst.rs1]) + inst.imm)
+    t._writeback(inst.rd, value, now + t.cfg.spad_hit_latency)
+
+
+def _swsp(t, inst, now):
+    t.spad.write(int(t.regs[inst.rs1]) + inst.imm, t.regs[inst.rs2])
+
+
+def _swrem(t, inst, now):
+    regs = t.regs
+    dest = int(regs[inst.rs2])
+    off = int(regs[inst.rd]) + inst.imm
+    t.fabric.send_remote_store(t.core_id, dest, off, regs[inst.rs1], now)
+
+
+def _frame_start(t, inst, now):
+    fq = t.spad.frames
+    if fq is None:
+        raise SimError(f'frame_start with no frame config '
+                       f'(core {t.core_id})')
+    tel = t.fabric.telemetry
+    if tel is not None:
+        tel.on_frame_start((t.core_id, fq.head, now))
+    t._writeback(inst.rd, fq.head_offset(), now + LATENCY[inst.op])
+
+
+def _remem(t, inst, now):
+    fq = t.spad.frames
+    tel = t.fabric.telemetry
+    if tel is not None:
+        tel.on_frame_free((t.core_id, fq.head, 0, now))
+    fq.free_head()
+    t.stats.frames_consumed += 1
+
+
+def _csrr(t, inst, now):
+    t._writeback(inst.rd, t._csr_read(inst.imm), now + LATENCY[inst.op])
+
+
+def _print(t, inst, now):
+    print(f'[core {t.core_id} @ {now}] r{inst.rs1} = {t.regs[inst.rs1]}')
+
+
+def _vl4(t, inst, now):
+    base = int(t.regs[inst.rs1]) + inst.imm
+    read = t.spad.read
+    t.vregs[inst.rd] = [read(base + i) for i in range(t.cfg.simd_width)]
+    t._vbusy[inst.rd] = now + t.cfg.spad_hit_latency
+
+
+def _vs4(t, inst, now):
+    base = int(t.regs[inst.rs1]) + inst.imm
+    for i, v in enumerate(t.vregs[inst.rd]):
+        t.spad.write(base + i, v)
+
+
+def _vfma4(t, inst, now):
+    vregs = t.vregs
+    a, b, d = vregs[inst.rs1], vregs[inst.rs2], vregs[inst.rd]
+    vregs[inst.rd] = [acc + x * y for acc, x, y in zip(d, a, b)]
+    t._vbusy[inst.rd] = now + LATENCY[inst.op]
+
+
+def _vbcast(t, inst, now):
+    t.vregs[inst.rd] = [t.regs[inst.rs1]] * t.cfg.simd_width
+    t._vbusy[inst.rd] = now + LATENCY[inst.op]
+
+
+def _vredsum4(t, inst, now):
+    t._writeback(inst.rd, sum(t.vregs[inst.rs1]), now + LATENCY[inst.op])
+
+
+def _nop(t, inst, now):
+    pass
+
+
+_HANDLER_OF = {
+    # integer
+    op.ADD: _rr(operator.add),
+    op.SUB: _rr(operator.sub),
+    op.MUL: _rr(operator.mul),
+    op.DIV: _rr(lambda a, b: int(a / b) if b else -1),
+    op.REM: _rr(_rem),
+    op.AND: _rr(lambda a, b: int(a) & int(b)),
+    op.OR: _rr(lambda a, b: int(a) | int(b)),
+    op.XOR: _rr(lambda a, b: int(a) ^ int(b)),
+    op.SLL: _rr(lambda a, b: int(a) << int(b)),
+    op.SRL: _rr(lambda a, b: int(a) >> int(b)),
+    op.SLT: _rr(lambda a, b: int(a < b)),
+    op.ADDI: _ri(operator.add),
+    op.ANDI: _ri(lambda a, imm: int(a) & imm),
+    op.ORI: _ri(lambda a, imm: int(a) | imm),
+    op.XORI: _ri(lambda a, imm: int(a) ^ imm),
+    op.SLLI: _ri(lambda a, imm: int(a) << imm),
+    op.SRLI: _ri(lambda a, imm: int(a) >> imm),
+    op.SLTI: _ri(lambda a, imm: int(a < imm)),
+    op.LI: _ri(lambda a, imm: imm),
+    op.MV: _r(lambda a: a),
+    # floating point
+    op.FADD: _rr(operator.add),
+    op.FSUB: _rr(operator.sub),
+    op.FMUL: _rr(operator.mul),
+    op.FDIV: _rr(operator.truediv),
+    # IEEE sqrt of a negative is NaN; Python's ``x ** 0.5`` is complex
+    op.FSQRT: _r(lambda a: math.nan if a < 0 else a ** 0.5),
+    op.FMIN: _rr(min),
+    op.FMAX: _rr(max),
+    op.FMA: _fma,
+    op.FABS: _r(abs),
+    op.FNEG: _r(operator.neg),
+    op.FLT: _rr(lambda a, b: int(a < b)),
+    op.FLE: _rr(lambda a, b: int(a <= b)),
+    op.FEQ: _rr(lambda a, b: int(a == b)),
+    op.FCVT_WS: _r(int),
+    op.FCVT_SW: _r(float),
+    # memory
+    op.LW: Tile._issue_load,
+    op.SW: _sw,
+    op.LWSP: _lwsp,
+    op.SWSP: _swsp,
+    op.SWREM: _swrem,
+    # SDV
+    op.VLOAD: Tile._issue_vload,
+    op.FRAME_START: _frame_start,
+    op.REMEM: _remem,
+    op.PRED_EQ: _pred(operator.eq),
+    op.PRED_NEQ: _pred(operator.ne),
+    op.VEND: _nop,  # meaningful only on the expander (handled there)
+    # system
+    op.CSRW: lambda t, inst, now: t._csr_write(inst.imm, t.regs[inst.rs1]),
+    op.CSRR: _csrr,
+    op.NOP: _nop,
+    op.PRINT: _print,
+    # per-core SIMD
+    op.VL4: _vl4,
+    op.VS4: _vs4,
+    op.VADD4: _vv(operator.add),
+    op.VSUB4: _vv(operator.sub),
+    op.VMUL4: _vv(operator.mul),
+    op.VFMA4: _vfma4,
+    op.VBCAST: _vbcast,
+    op.VREDSUM4: _vredsum4,
+}
+
+_MIX_OPS = {
+    'n_mem': (op.LW, op.SW, op.LWSP, op.SWSP, op.SWREM, op.VLOAD),
+    'n_mul': (op.MUL,),
+    'n_div': (op.DIV, op.REM, op.FDIV, op.FSQRT),
+    'n_fp': (op.FADD, op.FSUB, op.FMUL, op.FMA, op.FMIN, op.FMAX, op.FABS,
+             op.FNEG, op.FLT, op.FLE, op.FEQ, op.FCVT_WS, op.FCVT_SW),
+    'n_simd': (op.VL4, op.VS4, op.VADD4, op.VSUB4, op.VMUL4, op.VFMA4,
+               op.VBCAST, op.VREDSUM4),
+    'n_control': tuple(_CONTROL),
+}  # every other opcode counts as n_int_alu
+
+_NUM_OPCODES = max(op.NAMES) + 1
+HANDLERS = [_HANDLER_OF.get(o, _illegal) for o in range(_NUM_OPCODES)]
+LATENCY = [op.LATENCY.get(o, 1) for o in range(_NUM_OPCODES)]
+MIX_CLASS = ['n_int_alu'] * _NUM_OPCODES
+BRANCH_TEST = [None] * _NUM_OPCODES
+#: frontend-only ops (control flow, role-specific system ops) move pc
+#: themselves; for ``None`` the frontend runs ``HANDLERS[o]``, then pc += 1
+_FRONT_HANDLERS = [None] * _NUM_OPCODES
+for _cls, _ops in _MIX_OPS.items():
+    for _o in _ops:
+        MIX_CLASS[_o] = _cls
+for _o, _test in ((op.BEQ, operator.eq), (op.BNE, operator.ne),
+                  (op.BLT, operator.lt), (op.BGE, operator.ge)):
+    BRANCH_TEST[_o] = _test
+    _FRONT_HANDLERS[_o] = Tile._front_branch
+for _o in (op.J, op.JAL, op.JR):
+    _FRONT_HANDLERS[_o] = Tile._front_jump
+for _o in (op.HALT, op.BARRIER, op.VCONFIG, op.VISSUE, op.DEVEC):
+    _FRONT_HANDLERS[_o] = Tile._front_system
